@@ -40,11 +40,6 @@ type Caps struct {
 	// with ErrDegreeSortUnsupported (the workload-level declaration is an
 	// ambient default and is ignored where unsupported).
 	DegreeSort bool
-	// HubCache marks algorithms whose pull kernels support the hub-cached
-	// split (WithHubCache / AsHubCached); an explicit WithHubCache on
-	// others fails with ErrHubCacheUnsupported (the workload-level
-	// declaration is ignored where unsupported).
-	HubCache bool
 	// OutOfCore marks algorithms with block-sequential kernels over the
 	// out-of-core block layout (WithOutOfCore / AsOutOfCore). An explicit
 	// WithOutOfCore on others fails with ErrOutOfCoreUnsupported, as does
@@ -71,7 +66,6 @@ func (c Caps) String() string {
 	add(c.Probes, "probes")
 	add(c.PartitionAware, "pa")
 	add(c.DegreeSort, "degree-sort")
-	add(c.HubCache, "hub-cache")
 	add(c.OutOfCore, "out-of-core")
 	if out == "" {
 		return "-"
@@ -97,9 +91,6 @@ var (
 	// ErrDegreeSortUnsupported: the algorithm cannot run over the
 	// degree-sorted layout.
 	ErrDegreeSortUnsupported = errors.New("degree-sorted (WithDegreeSorted) runs unsupported")
-	// ErrHubCacheUnsupported: the algorithm's pull kernel has no
-	// hub-cached variant.
-	ErrHubCacheUnsupported = errors.New("hub-cached (WithHubCache) runs unsupported")
 	// ErrOutOfCoreUnsupported: the algorithm has no block-sequential
 	// out-of-core kernel (or the workload is a pure file handle no
 	// in-memory kernel can serve).
@@ -125,8 +116,6 @@ func validateOptions(cfg *Config) error {
 		return fmt.Errorf("pushpull: WithPartitions(%d): %w (0 means the resolved thread count)", cfg.Partitions, ErrBadOption)
 	case cfg.Ranks < 0:
 		return fmt.Errorf("pushpull: WithRanks(%d): %w (0 means the default cluster size)", cfg.Ranks, ErrBadOption)
-	case cfg.HubCache < AutoHubCache:
-		return fmt.Errorf("pushpull: WithHubCache(%d): %w (0 defers to the workload, AutoHubCache picks the size)", cfg.HubCache, ErrBadOption)
 	}
 	return nil
 }
@@ -155,9 +144,6 @@ func validateCaps(a Algorithm, w *Workload, cfg *Config) error {
 	if cfg.DegreeSorted && !caps.DegreeSort {
 		return fmt.Errorf("pushpull: %s with WithDegreeSorted: %w", name, ErrDegreeSortUnsupported)
 	}
-	if cfg.HubCache != 0 && !caps.HubCache {
-		return fmt.Errorf("pushpull: %s with WithHubCache: %w", name, ErrHubCacheUnsupported)
-	}
 	if !caps.OutOfCore {
 		if cfg.OutOfCore {
 			return fmt.Errorf("pushpull: %s with WithOutOfCore: %w", name, ErrOutOfCoreUnsupported)
@@ -173,15 +159,15 @@ func validateCaps(a Algorithm, w *Workload, cfg *Config) error {
 		if cfg.Direction == Push {
 			return fmt.Errorf("pushpull: %s out-of-core with WithDirection(Push): %w (block kernels are pull-only)", name, ErrBadOption)
 		}
-		if cfg.DegreeSorted || cfg.HubCache != 0 || cfg.PartitionAware || cfg.PA != nil {
-			return fmt.Errorf("pushpull: %s: degree-sort/hub-cache/partition-awareness with WithOutOfCore: %w (block kernels stream the plain pull layout)", name, ErrBadOption)
+		if cfg.DegreeSorted || cfg.PartitionAware || cfg.PA != nil {
+			return fmt.Errorf("pushpull: %s: degree-sort/partition-awareness with WithOutOfCore: %w (block kernels stream the plain pull layout)", name, ErrBadOption)
 		}
 	}
 	// The PA split is laid out over the plain graph, so the explicit
 	// layout options do not compose with Partition-Awareness (the
 	// workload-level declarations are simply not applied there).
-	if (cfg.DegreeSorted || cfg.HubCache != 0) && (cfg.PartitionAware || cfg.PA != nil) {
-		return fmt.Errorf("pushpull: %s: degree-sort/hub-cache with WithPartitionAwareness: %w (the §5 split is defined over the plain layout)", name, ErrBadOption)
+	if cfg.DegreeSorted && (cfg.PartitionAware || cfg.PA != nil) {
+		return fmt.Errorf("pushpull: %s: degree-sort with WithPartitionAwareness: %w (the §5 split is defined over the plain layout)", name, ErrBadOption)
 	}
 	if caps.NeedsSource {
 		if n := w.N(); n > 0 {

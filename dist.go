@@ -28,15 +28,9 @@ import (
 	"pushpull/internal/dm/dalgo"
 )
 
-type (
-	// DistPRConfig configures a distributed PageRank run.
-	DistPRConfig = dalgo.PRConfig
-	// DistTCConfig configures a distributed triangle-counting run.
-	DistTCConfig = dalgo.TCConfig
-	// DistResult carries gathered values, simulated makespan (ns) and
-	// aggregated remote-operation counters.
-	DistResult = dalgo.Result
-)
+// DistResult carries gathered values, simulated makespan (ns) and
+// aggregated remote-operation counters.
+type DistResult = dalgo.Result
 
 // DefaultDistRanks is the simulated cluster size used when neither
 // WithRanks nor WithThreads is given — fixed rather than GOMAXPROCS so a
@@ -155,50 +149,3 @@ func distTC(name string, run func(*Graph, dalgo.TCConfig) (*dalgo.Result, error)
 // rounding rather than truncating so fractional cost-model terms cannot
 // make the Report drift from DistResult.SimTime by up to a nanosecond.
 func simElapsed(ns float64) time.Duration { return time.Duration(math.Round(ns)) }
-
-// ---- legacy wrappers ----
-//
-// The Dist* functions predate the registry entries above; they remain as
-// thin aliases over the same dalgo implementations.
-
-// DistPRPushRMA runs push-based PageRank over RMA (remote accumulates).
-//
-// Deprecated: use Run(ctx, g, "dist-pr-push-rma", WithRanks(p), ...).
-func DistPRPushRMA(g *Graph, cfg DistPRConfig) (*DistResult, error) {
-	return dalgo.PRPushRMA(g, cfg)
-}
-
-// DistPRPullRMA runs pull-based PageRank over RMA (remote reads).
-//
-// Deprecated: use Run(ctx, g, "dist-pr-pull-rma", WithRanks(p), ...).
-func DistPRPullRMA(g *Graph, cfg DistPRConfig) (*DistResult, error) {
-	return dalgo.PRPullRMA(g, cfg)
-}
-
-// DistPRMsgPassing runs PageRank with buffered message passing.
-//
-// Deprecated: use Run(ctx, g, "dist-pr-mp", WithRanks(p), ...).
-func DistPRMsgPassing(g *Graph, cfg DistPRConfig) (*DistResult, error) {
-	return dalgo.PRMsgPassing(g, cfg)
-}
-
-// DistTCPushRMA runs push-based triangle counting over RMA.
-//
-// Deprecated: use Run(ctx, g, "dist-tc-push-rma", WithRanks(p), ...).
-func DistTCPushRMA(g *Graph, cfg DistTCConfig) (*DistResult, error) {
-	return dalgo.TCPushRMA(g, cfg)
-}
-
-// DistTCPullRMA runs pull-based triangle counting over RMA.
-//
-// Deprecated: use Run(ctx, g, "dist-tc-pull-rma", WithRanks(p), ...).
-func DistTCPullRMA(g *Graph, cfg DistTCConfig) (*DistResult, error) {
-	return dalgo.TCPullRMA(g, cfg)
-}
-
-// DistTCMsgPassing runs triangle counting with buffered message passing.
-//
-// Deprecated: use Run(ctx, g, "dist-tc-mp", WithRanks(p), ...).
-func DistTCMsgPassing(g *Graph, cfg DistTCConfig) (*DistResult, error) {
-	return dalgo.TCMsgPassing(g, cfg)
-}

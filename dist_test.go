@@ -1,8 +1,8 @@
 package pushpull_test
 
 // Registry tests for the §6.3 distributed simulations: the dist-* names
-// must appear in List(), return uniform Reports, and reproduce the legacy
-// Dist* wrapper outputs exactly (the simulation is deterministic).
+// must appear in Algorithms(), return uniform Reports, and reproduce the
+// internal/dm/dalgo outputs exactly (the simulation is deterministic).
 
 import (
 	"context"
@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"pushpull"
+	"pushpull/internal/dm/dalgo"
 )
 
 func distGraph(t testing.TB) *pushpull.Graph {
@@ -23,7 +24,7 @@ func distGraph(t testing.TB) *pushpull.Graph {
 
 func TestListIncludesDistAlgorithms(t *testing.T) {
 	names := map[string]bool{}
-	for _, n := range pushpull.List() {
+	for _, n := range pushpull.Algorithms() {
 		names[n] = true
 	}
 	for _, want := range []string{
@@ -31,25 +32,25 @@ func TestListIncludesDistAlgorithms(t *testing.T) {
 		"dist-tc-push-rma", "dist-tc-pull-rma", "dist-tc-mp",
 	} {
 		if !names[want] {
-			t.Errorf("List() misses %q (have %v)", want, pushpull.List())
+			t.Errorf("Algorithms() misses %q (have %v)", want, pushpull.Algorithms())
 		}
 	}
 }
 
-// TestDistPRMatchesWrappers cross-validates each dist-pr registry entry
-// against the legacy wrapper: same gathered ranks, same simulated
-// makespan, same remote-operation counters.
-func TestDistPRMatchesWrappers(t *testing.T) {
+// TestDistPRMatchesDalgo cross-validates each dist-pr registry entry
+// against the dalgo simulation it adapts: same gathered ranks, same
+// simulated makespan, same remote-operation counters.
+func TestDistPRMatchesDalgo(t *testing.T) {
 	g := distGraph(t)
 	const ranks, iters = 4, 5
-	wrappers := map[string]func(*pushpull.Graph, pushpull.DistPRConfig) (*pushpull.DistResult, error){
-		"dist-pr-push-rma": pushpull.DistPRPushRMA,
-		"dist-pr-pull-rma": pushpull.DistPRPullRMA,
-		"dist-pr-mp":       pushpull.DistPRMsgPassing,
+	sims := map[string]func(*pushpull.Graph, dalgo.PRConfig) (*dalgo.Result, error){
+		"dist-pr-push-rma": dalgo.PRPushRMA,
+		"dist-pr-pull-rma": dalgo.PRPullRMA,
+		"dist-pr-mp":       dalgo.PRMsgPassing,
 	}
-	for name, wrapper := range wrappers {
+	for name, sim := range sims {
 		rep := run(t, g, name, pushpull.WithRanks(ranks), pushpull.WithIterations(iters))
-		want, err := wrapper(g, pushpull.DistPRConfig{Ranks: ranks, Iterations: iters})
+		want, err := sim(g, dalgo.PRConfig{Ranks: ranks, Iterations: iters})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -57,18 +58,18 @@ func TestDistPRMatchesWrappers(t *testing.T) {
 		// accumulate concurrently, so the addition order (not the result
 		// up to rounding) varies between runs.
 		if d := pushpull.MaxDiff(rep.Ranks(), want.Values); d > 1e-12 {
-			t.Errorf("%s: registry ranks diverge from wrapper by %g", name, d)
+			t.Errorf("%s: registry ranks diverge from dalgo by %g", name, d)
 		}
 		// Stats.Elapsed is the makespan rounded to whole nanoseconds.
 		if got := float64(rep.Stats.Elapsed); math.Abs(got-want.SimTime) > 0.5 {
-			t.Errorf("%s: makespan %v ≠ wrapper %v", name, got, want.SimTime)
+			t.Errorf("%s: makespan %v ≠ dalgo %v", name, got, want.SimTime)
 		}
 		res, ok := rep.Result.(*pushpull.DistResult)
 		if !ok {
 			t.Fatalf("%s: payload is %T, want *DistResult", name, rep.Result)
 		}
 		if *rep.Counters != want.Report || res.Report != want.Report {
-			t.Errorf("%s: counters diverge from wrapper", name)
+			t.Errorf("%s: counters diverge from dalgo", name)
 		}
 		if rep.Stats.Iterations != iters || len(rep.Directions) != iters {
 			t.Errorf("%s: %d iterations, %d trace entries, want %d/%d",
@@ -77,28 +78,28 @@ func TestDistPRMatchesWrappers(t *testing.T) {
 	}
 }
 
-// TestDistTCMatchesWrappers does the same for the dist-tc entries, and
+// TestDistTCMatchesDalgo does the same for the dist-tc entries, and
 // checks the counts agree across all three mechanisms.
-func TestDistTCMatchesWrappers(t *testing.T) {
+func TestDistTCMatchesDalgo(t *testing.T) {
 	g := distGraph(t)
 	const ranks = 4
-	wrappers := map[string]func(*pushpull.Graph, pushpull.DistTCConfig) (*pushpull.DistResult, error){
-		"dist-tc-push-rma": pushpull.DistTCPushRMA,
-		"dist-tc-pull-rma": pushpull.DistTCPullRMA,
-		"dist-tc-mp":       pushpull.DistTCMsgPassing,
+	sims := map[string]func(*pushpull.Graph, dalgo.TCConfig) (*dalgo.Result, error){
+		"dist-tc-push-rma": dalgo.TCPushRMA,
+		"dist-tc-pull-rma": dalgo.TCPullRMA,
+		"dist-tc-mp":       dalgo.TCMsgPassing,
 	}
 	var first []int64
-	for name, wrapper := range wrappers {
+	for name, sim := range sims {
 		rep := run(t, g, name, pushpull.WithRanks(ranks))
-		want, err := wrapper(g, pushpull.DistTCConfig{Ranks: ranks})
+		want, err := sim(g, dalgo.TCConfig{Ranks: ranks})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !pushpull.EqualCounts(rep.Counts(), want.Counts) {
-			t.Errorf("%s: registry counts diverge from wrapper", name)
+			t.Errorf("%s: registry counts diverge from dalgo", name)
 		}
 		if got := float64(rep.Stats.Elapsed); math.Abs(got-want.SimTime) > 0.5 {
-			t.Errorf("%s: makespan %v ≠ wrapper %v", name, got, want.SimTime)
+			t.Errorf("%s: makespan %v ≠ dalgo %v", name, got, want.SimTime)
 		}
 		if rep.Counters == nil {
 			t.Fatalf("%s: no counters attached", name)

@@ -39,9 +39,6 @@ type (
 	// DegreeSortedView is a Graph permuted by descending degree with the
 	// permutation and its inverse (WithDegreeSorted / AsDegreeSorted).
 	DegreeSortedView = graph.DegreeSorted
-	// HubSplit is a pull view split into a dense top-k hub segment and a
-	// residual segment (WithHubCache / AsHubCached).
-	HubSplit = graph.HubSplit
 	// GraphStats carries the Table 2 statistics (n, m, d̄, d̂, D, ...).
 	GraphStats = graph.Stats
 	// RunStats captures what one run did: direction, iteration count and

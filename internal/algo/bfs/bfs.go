@@ -80,11 +80,6 @@ type Config struct {
 	Filter EdgeFilter
 	// Heuristic overrides the switch parameters in Auto mode.
 	Heuristic frontier.SwitchHeuristic
-	// Hub optionally supplies graph.BuildHubSplit(g, k) for the same g.
-	// Pull rounds then test each row's hub prefix against a k-slot frontier
-	// bitmap (cache-resident on skewed graphs) and only chase the residual
-	// suffix through the full n-bit bitmap.
-	Hub *graph.HubSplit
 	// EarlyOut lets a pull round stop scanning a vertex's neighbors once
 	// its ready counter reaches zero. Safe only when later combines cannot
 	// change the result (plain BFS claims one parent); generalized runs
@@ -115,11 +110,6 @@ func Run(g *graph.CSR, cfg *Config, ops Ops) (rounds int, dirs []core.Direction,
 	}
 	perThread := frontier.NewPerThread(t)
 	inF := frontier.NewBitmap(n)
-	hs := cfg.Hub
-	var hubF *frontier.Bitmap
-	if hs != nil {
-		hubF = frontier.NewBitmap(hs.K)
-	}
 	dirs = make([]core.Direction, 0, 64)
 	stats.Reserve(64)
 	unexplored := g.M()
@@ -163,56 +153,12 @@ func Run(g *graph.CSR, cfg *Config, ops Ops) (rounds int, dirs []core.Direction,
 	}
 	// Pull round: every vertex with a positive ready counter scans its
 	// neighbors for frontier members; all state it modifies is its own
-	// (t = t[v]), so no atomics are used anywhere. With a hub split the
-	// row's hub prefix tests slot ids against the k-bit hubF instead of
-	// the n-bit inF, and EarlyOut stops the scan once the counter hits 0.
+	// (t = t[v]), so no atomics are used anywhere. EarlyOut stops the scan
+	// once the counter hits 0.
 	pullBody := func(w, lo, hi int) {
 		for vi := lo; vi < hi; vi++ {
 			v := graph.V(vi)
 			if cfg.Ready[v] <= 0 { //pushpull:allow atomicmix pull rounds: only v's owner touches v's counter; push rounds' atomics never run concurrently with this
-				continue
-			}
-			if hs != nil {
-				done := false
-				for _, s := range hs.HubRow(v) {
-					if !hubF.Get(s) {
-						continue
-					}
-					u := hs.Hubs[s]
-					// The G′ edge direction is u → v: u pushes in the
-					// push formulation, so pulling asks filter(u, v).
-					if cfg.Filter != nil && !cfg.Filter(u, v) {
-						continue
-					}
-					ops.PullCombine(v, u)
-					cfg.Ready[v]--         //pushpull:allow atomicmix pull rounds: only v's owner touches v's counter
-					if cfg.Ready[v] == 0 { //pushpull:allow atomicmix pull rounds: only v's owner touches v's counter
-						perThread.Add(w, v)
-						if cfg.EarlyOut {
-							done = true
-							break
-						}
-					}
-				}
-				if done {
-					continue
-				}
-				for _, u := range hs.ResidualRow(v) {
-					if cfg.Filter != nil && !cfg.Filter(u, v) {
-						continue
-					}
-					if !inF.Get(u) {
-						continue
-					}
-					ops.PullCombine(v, u)
-					cfg.Ready[v]--         //pushpull:allow atomicmix pull rounds: only v's owner touches v's counter
-					if cfg.Ready[v] == 0 { //pushpull:allow atomicmix pull rounds: only v's owner touches v's counter
-						perThread.Add(w, v)
-						if cfg.EarlyOut {
-							break
-						}
-					}
-				}
 				continue
 			}
 			for _, u := range g.Neighbors(v) {
@@ -258,14 +204,6 @@ func Run(g *graph.CSR, cfg *Config, ops Ops) (rounds int, dirs []core.Direction,
 		if usePull {
 			inF.Clear()
 			inF.FromSparse(cur)
-			if hs != nil {
-				hubF.Clear()
-				for _, v := range curVerts {
-					if s := hs.Slot[v]; s >= 0 {
-						hubF.SetSeq(graph.V(s))
-					}
-				}
-			}
 			sched.ParallelFor(n, t, sched.Static, 0, pullBody)
 			dirs = append(dirs, core.Pull)
 		} else {
@@ -310,15 +248,9 @@ func (o *treeOps) PullCombine(v, w graph.V) {
 
 // TraverseFrom runs a plain BFS from root in the given mode, returning the
 // tree, the per-round direction trace, and timing stats.
+// Plain BFS claims exactly one parent per vertex, so pull rounds early-out
+// the moment the claim lands.
 func TraverseFrom(g *graph.CSR, root graph.V, mode Mode, opt core.Options) (*Tree, []core.Direction, core.RunStats) {
-	return TraverseFromHub(g, nil, root, mode, opt)
-}
-
-// TraverseFromHub is TraverseFrom over a hub split (nil = plain). Plain
-// BFS claims exactly one parent per vertex, so pull rounds early-out the
-// moment the claim lands — on skewed graphs most vertices find their
-// parent inside the hub prefix and never touch the residual scan.
-func TraverseFromHub(g *graph.CSR, hs *graph.HubSplit, root graph.V, mode Mode, opt core.Options) (*Tree, []core.Direction, core.RunStats) {
 	n := g.N()
 	ops := &treeOps{parent: make([]int32, n), level: make([]int32, n)}
 	for i := range ops.parent {
@@ -334,7 +266,7 @@ func TraverseFromHub(g *graph.CSR, hs *graph.HubSplit, root graph.V, mode Mode, 
 		ops.parent[root] = int32(root) //pushpull:allow atomicmix single-threaded init before the traversal starts
 		ops.level[root] = 0            //pushpull:allow atomicmix single-threaded init before the traversal starts
 	}
-	cfg := &Config{Options: opt, Ready: ready, Mode: mode, Hub: hs, EarlyOut: true}
+	cfg := &Config{Options: opt, Ready: ready, Mode: mode, EarlyOut: true}
 	_, dirs, stats := Run(g, cfg, ops)
 
 	tree := &Tree{Parent: make([]graph.V, n), Level: make([]int32, n)}

@@ -31,15 +31,6 @@ const (
 // differ from a parallel push run (there the first CAS wins a race, here
 // the deterministic scan order wins).
 func TraverseFromProfiled(g *graph.CSR, root graph.V, mode Mode, opt core.Options, prof core.Profile, space *memsim.AddressSpace) (*Tree, []core.Direction, core.RunStats, error) {
-	return TraverseFromHubProfiled(g, nil, root, mode, opt, prof, space)
-}
-
-// TraverseFromHubProfiled is TraverseFromProfiled over a hub split (nil =
-// plain). It mirrors TraverseFromHub exactly: pull rounds test each row's
-// hub prefix against a packed k-bit frontier bitmap (one word read covers
-// 64 slots) and early-out once the parent claim lands, so the modeled
-// traffic shows the same savings the fast kernel gets.
-func TraverseFromHubProfiled(g *graph.CSR, hs *graph.HubSplit, root graph.V, mode Mode, opt core.Options, prof core.Profile, space *memsim.AddressSpace) (*Tree, []core.Direction, core.RunStats, error) {
 	var stats core.RunStats
 	if err := prof.Validate(); err != nil {
 		return nil, nil, stats, err
@@ -61,14 +52,6 @@ func TraverseFromHubProfiled(g *graph.CSR, hs *graph.HubSplit, root graph.V, mod
 	// uint64 word, so a membership probe is an 8-byte read at word v>>6 —
 	// an 8× smaller footprint than a byte-per-vertex dense frontier.
 	inFA := space.NewArray((n+63)/64, 8)
-	var hubFA, hubsA, hubEndA memsim.Array
-	var hubF *frontier.Bitmap
-	if hs != nil {
-		hubFA = space.NewArray((hs.K+63)/64, 8) // packed k-slot frontier
-		hubsA = space.NewArray(hs.K, 4)         // slot → vertex id table
-		hubEndA = space.NewArray(n, 8)          // per-row split points
-		hubF = frontier.NewBitmap(hs.K)
-	}
 
 	parent := make([]int32, n)
 	level := make([]int32, n)
@@ -116,14 +99,6 @@ func TraverseFromHubProfiled(g *graph.CSR, hs *graph.HubSplit, root graph.V, mod
 			for _, v := range cur {
 				inF.SetSeq(v)
 			}
-			if hs != nil {
-				hubF.Clear()
-				for _, v := range cur {
-					if s := hs.Slot[v]; s >= 0 {
-						hubF.SetSeq(graph.V(s))
-					}
-				}
-			}
 			for w := 0; w < prof.Threads; w++ {
 				p := prof.Probes[w]
 				p.Exec(regionPullBottomUp)
@@ -136,59 +111,6 @@ func TraverseFromHubProfiled(g *graph.CSR, hs *graph.HubSplit, root graph.V, mod
 						continue
 					}
 					p.Read(offA.Addr(int64(vi)), 8)
-					if hs != nil {
-						p.Read(hubEndA.Addr(int64(vi)), 8)
-						offs := g.Offsets[v]
-						done := false
-						for j, s := range hs.HubRow(v) {
-							p.Branch(true)
-							p.Read(adjA.Addr(offs+int64(j)), 4)
-							p.Read(hubFA.Addr(int64(s>>6)), 8) // packed slot probe
-							if !hubF.Get(s) {
-								continue
-							}
-							p.Read(hubsA.Addr(int64(s)), 4) // slot → vertex
-							u := hs.Hubs[s]
-							if parent[v] == -1 {
-								parent[v] = int32(u)
-								level[v] = level[u] + 1
-								p.Write(parentA.Addr(int64(vi)), 4)
-								p.Write(levelA.Addr(int64(vi)), 4)
-							}
-							p.Write(readyA.Addr(int64(vi)), 4)
-							ready[v]--
-							if ready[v] == 0 {
-								next = append(next, v)
-								done = true
-								break // early-out: the parent claim landed
-							}
-						}
-						if done {
-							continue
-						}
-						resBase := hs.HubEnd[v]
-						for j, u := range hs.ResidualRow(v) {
-							p.Branch(true)
-							p.Read(adjA.Addr(resBase+int64(j)), 4)
-							p.Read(inFA.Addr(int64(u>>6)), 8) // packed membership probe
-							if !inF.Get(u) {
-								continue
-							}
-							if parent[v] == -1 {
-								parent[v] = int32(u)
-								level[v] = level[u] + 1
-								p.Write(parentA.Addr(int64(vi)), 4)
-								p.Write(levelA.Addr(int64(vi)), 4)
-							}
-							p.Write(readyA.Addr(int64(vi)), 4)
-							ready[v]--
-							if ready[v] == 0 {
-								next = append(next, v)
-								break // early-out
-							}
-						}
-						continue
-					}
 					offs := g.Offsets[v]
 					for j, u := range g.Neighbors(v) {
 						p.Branch(true)

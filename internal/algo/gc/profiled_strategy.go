@@ -81,19 +81,6 @@ func profiledGreedySubset(g *graph.CSR, colors []int32, p counters.Probe, a feAr
 // canonical id order, so the probed coloring equals the uninstrumented
 // run's exactly.
 func FrontierExploitProfiled(g *graph.CSR, opt Options, dir core.Direction, policy core.SwitchPolicy, prof core.Profile, space *memsim.AddressSpace) (*Result, error) {
-	return frontierExploitProfiled(g, nil, opt, dir, policy, prof, space)
-}
-
-// FrontierExploitHubProfiled runs the hub-cached FE strategy under the
-// probes: pull-round hub probes charge one read into the k-bit frontier
-// cache instead of a random bitmap byte, after a per-round refresh charged
-// to probe 0. The coloring equals FrontierExploitHub's (and so the plain
-// FE variants') exactly.
-func FrontierExploitHubProfiled(g *graph.CSR, hs *graph.HubSplit, opt Options, dir core.Direction, policy core.SwitchPolicy, prof core.Profile, space *memsim.AddressSpace) (*Result, error) {
-	return frontierExploitProfiled(g, hs, opt, dir, policy, prof, space)
-}
-
-func frontierExploitProfiled(g *graph.CSR, hs *graph.HubSplit, opt Options, dir core.Direction, policy core.SwitchPolicy, prof core.Profile, space *memsim.AddressSpace) (*Result, error) {
 	opt.defaults()
 	if err := prof.Validate(); err != nil {
 		return nil, err
@@ -111,12 +98,6 @@ func frontierExploitProfiled(g *graph.CSR, hs *graph.HubSplit, opt Options, dir 
 		space = &memsim.AddressSpace{}
 	}
 	a := feModel(g, space)
-	var hubF *hubFrontier
-	var hubFA memsim.Array
-	if hs != nil {
-		hubF = newHubFrontier(hs)
-		hubFA = space.NewArray((hs.K+63)/64, 8)
-	}
 	colors := make([]int32, n)
 	for i := range colors {
 		colors[i] = -1
@@ -215,60 +196,6 @@ func frontierExploitProfiled(g *graph.CSR, hs *graph.HubSplit, opt Options, dir 
 						if candMark.Set(u) {
 							perThread[w] = append(perThread[w], u)
 						}
-					}
-				}
-			}
-		} else if hubF != nil {
-			// Hub-cached pull discovery: refresh the k-bit cache (probe 0
-			// prologue), then probe hub slots in the cache and residuals in
-			// the full bitmap. Same candidate set as the plain pull scan.
-			p0.Exec(regionHubDiscover)
-			hubF.refresh(inF)
-			for sl := range hs.Hubs {
-				p0.Read(a.inF.Addr(int64(hs.Hubs[sl])), 1)
-			}
-			for i := range hubF.words {
-				p0.Write(hubFA.Addr(int64(i)), 8)
-			}
-			for w := 0; w < t; w++ {
-				p := prof.Probes[w]
-				p.Exec(regionHubDiscover)
-				lo, hi := sched.BlockRange(n, t, w)
-				for vi := lo; vi < hi; vi++ {
-					v := graph.V(vi)
-					p.Read(a.col.Addr(int64(vi)), 4)
-					p.Branch(colors[v] >= 0)
-					if colors[v] >= 0 {
-						continue
-					}
-					p.Read(a.off.Addr(int64(vi)), 8)
-					offs := g.Offsets[v]
-					found := false
-					for j, sl := range hs.HubRow(v) {
-						p.Branch(true)
-						p.Read(a.adj.Addr(offs+int64(j)), 4)
-						p.Read(hubFA.Addr(int64(sl>>6)), 8) // cache-resident probe
-						if hubF.get(sl) {
-							found = true
-							break
-						}
-					}
-					if !found {
-						resBase := hs.HubEnd[v]
-						for j, u := range hs.ResidualRow(v) {
-							p.Branch(true)
-							p.Read(a.adj.Addr(resBase+int64(j)), 4)
-							p.Read(a.inF.Addr(int64(u)), 1)
-							if inF.Get(u) {
-								found = true
-								break
-							}
-						}
-					}
-					if found {
-						candMark.SetSeq(v)
-						p.Write(a.cand.Addr(int64(vi)), 1) // own vertex
-						perThread[w] = append(perThread[w], v)
 					}
 				}
 			}

@@ -25,12 +25,6 @@ import (
 // a core.GreedySwitch adds GrS (fall back to the sequential greedy scheme
 // for the remainder). dir is the starting direction.
 func FrontierExploit(g *graph.CSR, opt Options, dir core.Direction, policy core.SwitchPolicy) *Result {
-	return frontierExploit(g, nil, opt, dir, policy)
-}
-
-// frontierExploit is the shared FE body; a non-nil hs serves pull-round
-// frontier probes of hub neighbors from a k-bit cache (FrontierExploitHub).
-func frontierExploit(g *graph.CSR, hs *graph.HubSplit, opt Options, dir core.Direction, policy core.SwitchPolicy) *Result {
 	opt.defaults()
 	if policy == nil {
 		policy = core.NeverSwitch{}
@@ -109,40 +103,6 @@ func frontierExploit(g *graph.CSR, hs *graph.HubSplit, opt Options, dir core.Dir
 			}
 		}
 	}
-	// Hub-cached pull discovery: hub neighbors' frontier membership comes
-	// from the k-bit cache (refreshed per round), residuals from the full
-	// bitmap. The candidate set is identical — only the probe target moves.
-	var hubF *hubFrontier
-	if hs != nil {
-		hubF = newHubFrontier(hs)
-	}
-	discoverPullHub := func(w, lo, hi int) {
-		for vi := lo; vi < hi; vi++ {
-			v := graph.V(vi)
-			if colors[v] >= 0 {
-				continue
-			}
-			found := false
-			for _, sl := range hs.HubRow(v) {
-				if hubF.get(sl) {
-					found = true
-					break
-				}
-			}
-			if !found {
-				for _, u := range hs.ResidualRow(v) {
-					if inF.Get(u) {
-						found = true
-						break
-					}
-				}
-			}
-			if found {
-				candMark.Set(v)
-				perThread.Add(w, v)
-			}
-		}
-	}
 	byID := func(i, j int) bool { return cands.Vertices()[i] < cands.Vertices()[j] }
 
 	for colored < n && res.Iterations < opt.MaxIters {
@@ -176,13 +136,9 @@ func frontierExploit(g *graph.CSR, hs *graph.HubSplit, opt Options, dir core.Dir
 		// neighbor. Both produce the same candidate set with different
 		// access patterns (and only push needs the atomic claim).
 		candMark.Clear()
-		switch {
-		case dir == core.Push:
+		if dir == core.Push {
 			sched.ParallelFor(len(f), t, sched.Static, 0, discoverPush)
-		case hubF != nil:
-			hubF.refresh(inF)
-			sched.ParallelFor(n, t, sched.Static, 0, discoverPullHub)
-		default:
+		} else {
 			sched.ParallelFor(n, t, sched.Static, 0, discoverPull)
 		}
 		perThread.Merge(&cands)

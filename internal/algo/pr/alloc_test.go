@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"pushpull/internal/core"
-	"pushpull/internal/graph"
 )
 
 // seq pins kernels to one inline worker for allocation measurements.
@@ -19,17 +18,13 @@ func seq() core.Options { return core.Options{Threads: 1} }
 func TestKernelSteadyStateAllocs(t *testing.T) {
 	g := testGraph(t)
 	dg := directedFixture(t, 600, 4000, 11)
-	hs := graph.BuildHubSplit(g, 64)
-	dhs := graph.BuildHubSplit(dg.In, 32)
+	bg := openBlock(t, g, nil)
 	kernels := map[string]func(iters int){
 		"push":          func(iters int) { Push(g, Options{Options: seq(), Iterations: iters}) },
 		"pull":          func(iters int) { Pull(g, Options{Options: seq(), Iterations: iters}) },
-		"pull-hub":      func(iters int) { PullHub(g, hs, Options{Options: seq(), Iterations: iters}) },
 		"push-directed": func(iters int) { PushDirected(dg, Options{Options: seq(), Iterations: iters}) },
 		"pull-directed": func(iters int) { PullDirected(dg, Options{Options: seq(), Iterations: iters}) },
-		"pull-directed-hub": func(iters int) {
-			PullDirectedHub(dg, dhs, Options{Options: seq(), Iterations: iters})
-		},
+		"pull-blocked":  func(iters int) { PullBlocked(bg, Options{Options: seq(), Iterations: iters}) },
 	}
 	for name, run := range kernels {
 		short := testing.AllocsPerRun(3, func() { run(8) })

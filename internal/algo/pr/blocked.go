@@ -15,13 +15,13 @@ import (
 // becomes sequential segment reads the OS can prefetch — page faults
 // arrive in file order. Only the O(n) vertex state (ranks, degrees,
 // offsets) is resident; the O(m) adjacency streams through per-worker
-// cursors. Results match Pull/PullDirected up to floating-point
-// reassociation, the same ≤1e-9 contract the hub kernels carry.
+// cursors. Rows are gathered in the in-memory kernels' order, so results
+// match Pull/PullDirected exactly.
 
 // contribDegrees returns the per-vertex degree a neighbor's contribution
 // scales by: the out-degree sidecar of a directed file, or the pull-view
-// degree of an undirected one, materialized once so the gather pays a
-// single indexed read per edge instead of re-deriving from offsets.
+// degree of an undirected one, materialized once so the kernels pay a
+// single indexed read instead of re-deriving it from offsets.
 func contribDegrees(bg *graph.BlockCSR) []int64 {
 	if bg.OutDeg != nil {
 		return bg.OutDeg
@@ -36,7 +36,9 @@ func contribDegrees(bg *graph.BlockCSR) []int64 {
 
 // PullBlocked runs pull PageRank over a block-format graph. Parallelism
 // is over blocks: a static schedule hands each worker a contiguous block
-// range, keeping every worker's I/O sequential within its span.
+// range, keeping every worker's I/O sequential within its span. As in
+// Pull, each iteration first scales the resident ranks by their degrees
+// in place, so the gather reads one array per streamed edge.
 func PullBlocked(bg *graph.BlockCSR, opt Options) ([]float64, core.RunStats, error) {
 	opt.defaults()
 	n := bg.N()
@@ -60,6 +62,15 @@ func PullBlocked(bg *graph.BlockCSR, opt Options) ([]float64, core.RunStats, err
 	// grows to the largest segment once, then is reused every round).
 	curs := make([]graph.BlockCursor, t)
 	errs := make([]error, t)
+	// A degree-0 vertex appears in no row, so its unscaled rank is never
+	// gathered.
+	scale := func(w, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			if d := deg[i]; d != 0 {
+				pr[i] /= float64(d)
+			}
+		}
+	}
 	gather := func(w, lo, hi int) {
 		cur := &curs[w]
 		for bi := lo; bi < hi; bi++ {
@@ -74,22 +85,21 @@ func PullBlocked(bg *graph.BlockCSR, opt Options) ([]float64, core.RunStats, err
 			for v := blo; v < bhi; v++ {
 				sum := 0.0
 				for _, u := range cur.Row(v) {
-					du := deg[u]
-					if du == 0 {
-						continue
-					}
-					sum += pr[u] / float64(du)
+					sum += pr[u]
 				}
 				next[v] = base + opt.Damping*sum
 			}
 		}
 	}
 	for l := 0; l < opt.Iterations; l++ {
+		// Checked before scaling: a canceled run never returns a scaled
+		// vector.
 		if opt.Canceled() {
 			stats.Canceled = true
 			break
 		}
 		start := time.Now()
+		sched.ParallelFor(n, t, opt.Schedule, 0, scale)
 		sched.ParallelFor(numBlocks, t, opt.Schedule, 0, gather)
 		for _, err := range errs {
 			if err != nil {

@@ -125,9 +125,10 @@ func PushDirected(dg *DirectedGraph, opt Options) ([]float64, core.RunStats) {
 }
 
 // PullDirected gathers rank along in-edges with no synchronization: the
-// §4.8 pull direction, whose per-vertex cost is bounded by d̂in. Note the
-// extra reads relative to pushing: the out-degree of every in-neighbor
-// must be fetched to scale its contribution (§7.3).
+// §4.8 pull direction, whose per-vertex cost is bounded by d̂in. The
+// paper's gather fetches the out-degree of every in-neighbor to scale its
+// contribution (§7.3); here each iteration scales pr[u] by its out-degree
+// once in place, so the gather reads one array per edge.
 func PullDirected(dg *DirectedGraph, opt Options) ([]float64, core.RunStats) {
 	opt.defaults()
 	n := dg.Out.N()
@@ -143,28 +144,35 @@ func PullDirected(dg *DirectedGraph, opt Options) ([]float64, core.RunStats) {
 	}
 	next := make([]float64, n)
 	base := (1 - opt.Damping) / float64(n)
-	// Hoisted gather body; pr and next are captured by reference, so the
-	// per-round swap stays visible.
+	// Hoisted phase bodies; pr and next are captured by reference, so the
+	// per-round swap stays visible. A vertex without out-edges is no
+	// vertex's in-neighbor, so its unscaled rank is never gathered.
+	scale := func(w, lo, hi int) {
+		for vi := lo; vi < hi; vi++ {
+			if d := dg.Out.Degree(graph.V(vi)); d != 0 {
+				pr[vi] /= float64(d)
+			}
+		}
+	}
 	gather := func(w, lo, hi int) {
 		for vi := lo; vi < hi; vi++ {
 			v := graph.V(vi)
 			sum := 0.0
 			for _, u := range dg.In.Neighbors(v) {
-				du := dg.Out.Degree(u) // out-degree of the in-neighbor
-				if du == 0 {
-					continue
-				}
-				sum += pr[u] / float64(du)
+				sum += pr[u]
 			}
 			next[v] = base + opt.Damping*sum
 		}
 	}
 	for l := 0; l < opt.Iterations; l++ {
+		// Checked before scaling: a canceled run never returns a scaled
+		// vector.
 		if opt.Canceled() {
 			stats.Canceled = true
 			break
 		}
 		start := time.Now()
+		sched.ParallelFor(n, t, opt.Schedule, 0, scale)
 		sched.ParallelFor(n, t, opt.Schedule, 0, gather)
 		pr, next = next, pr
 		el := time.Since(start)

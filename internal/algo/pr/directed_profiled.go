@@ -115,8 +115,9 @@ func PushDirectedProfiled(dg *DirectedGraph, opt Options, prof core.Profile, spa
 // PullDirectedProfiled executes pull directed PageRank deterministically
 // under the probes: each vertex gathers along its in-edges with no
 // synchronization, paying two random reads per arc — the in-neighbor's
-// rank and its *out*-degree (§7.3). The returned ranks equal
-// PullDirected's output.
+// rank and its *out*-degree (§7.3). PullDirected pre-scales the ranks and
+// reads one array per arc instead, but with the same quotients summed in
+// the same order, so the returned ranks equal its output exactly.
 func PullDirectedProfiled(dg *DirectedGraph, opt Options, prof core.Profile, space *memsim.AddressSpace) ([]float64, error) {
 	opt.defaults()
 	if err := prof.Validate(); err != nil {

@@ -5,10 +5,14 @@
 // In the push variant, the thread owning v adds f·pr[v]/d(v) to new_pr[u]
 // for every neighbor u — a write conflict per edge, resolved with an atomic
 // CAS loop because CPUs have no float atomics (§4.1 charges these as
-// O(Lm) synchronization events). In the pull variant, the thread owning v
-// reads pr[u] and d(u) of every neighbor and accumulates privately — no
-// synchronization, but two random reads per edge instead of one random
-// write, which is exactly the cache-miss trade-off Table 1 reports.
+// O(Lm) synchronization events). In the paper's pull variant, the thread
+// owning v reads pr[u] and d(u) of every neighbor and accumulates
+// privately — no synchronization, but two random reads per edge instead of
+// one random write, which is exactly the cache-miss trade-off Table 1
+// reports. The *Profiled pull kernels model that gather. The fast pull
+// kernels first divide every pr[u] by d(u) in place (n divisions instead
+// of m), so the gather pays one random read per edge; the quotients and
+// the summation order are the paper gather's, so the ranks are identical.
 package pr
 
 import (
@@ -154,7 +158,8 @@ func Push(g *graph.CSR, opt Options) ([]float64, core.RunStats) {
 }
 
 // Pull runs the pull-based variant: each vertex gathers f·pr[u]/d(u) from
-// its neighbors with no synchronization at all.
+// its neighbors with no synchronization at all. Each iteration first
+// scales pr[u] by 1/d(u) in place, so the gather reads one array per edge.
 func Pull(g *graph.CSR, opt Options) ([]float64, core.RunStats) {
 	opt.defaults()
 	n := g.N()
@@ -171,29 +176,36 @@ func Pull(g *graph.CSR, opt Options) ([]float64, core.RunStats) {
 	}
 	next := make([]float64, n)
 	base := (1 - opt.Damping) / float64(n)
-	// Hoisted gather body; it captures pr and next by reference, so the
+	// Hoisted phase bodies; they capture pr and next by reference, so the
 	// per-round swap below stays visible without re-allocating the
-	// closure each iteration.
+	// closures each iteration. A degree-0 vertex is no vertex's neighbor,
+	// so its unscaled rank is never gathered.
+	scale := func(w, lo, hi int) {
+		for vi := lo; vi < hi; vi++ {
+			if d := g.Degree(graph.V(vi)); d != 0 {
+				pr[vi] /= float64(d)
+			}
+		}
+	}
 	gather := func(w, lo, hi int) {
 		for vi := lo; vi < hi; vi++ {
 			v := graph.V(vi)
 			sum := 0.0
 			for _, u := range g.Neighbors(v) {
-				du := g.Degree(u)
-				if du == 0 {
-					continue
-				}
-				sum += pr[u] / float64(du)
+				sum += pr[u]
 			}
 			next[v] = base + opt.Damping*sum
 		}
 	}
 	for l := 0; l < opt.Iterations; l++ {
+		// Checked before scaling, so a canceled run returns the last
+		// gathered ranks, never a scaled vector.
 		if opt.Canceled() {
 			stats.Canceled = true
 			break
 		}
 		start := time.Now()
+		sched.ParallelFor(n, t, opt.Schedule, 0, scale)
 		sched.ParallelFor(n, t, opt.Schedule, 0, gather)
 		pr, next = next, pr
 		el := time.Since(start)

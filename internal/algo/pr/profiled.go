@@ -17,8 +17,6 @@ const (
 	regionPullGather
 	regionPAPhase1
 	regionPAPhase2
-	regionHubRefresh
-	regionHubGather
 	regionBlockGather
 )
 
@@ -114,9 +112,12 @@ func PushProfiled(g *graph.CSR, opt Options, prof core.Profile, space *memsim.Ad
 }
 
 // PullProfiled executes pull PageRank deterministically under the probes.
-// Note the two random reads per edge — pr[u] and the offset pair giving
-// d(u) — versus the single random atomic of pushing; this asymmetry is what
-// Table 1's higher pull miss counts measure.
+// It models the paper's gather, not Pull's: two random reads per edge —
+// pr[u] and the offset pair giving d(u) — versus the single random atomic
+// of pushing; this asymmetry is what Table 1's higher pull miss counts
+// measure. Pull pre-scales the ranks once per iteration and reads only
+// pr[u] per edge, but it divides the same values and sums them in the same
+// order, so the two return identical ranks.
 func PullProfiled(g *graph.CSR, opt Options, prof core.Profile, space *memsim.AddressSpace) ([]float64, error) {
 	opt.defaults()
 	if err := prof.Validate(); err != nil {

@@ -74,11 +74,11 @@ func allowedFrontier(st *stats, rounds int) {
 	}
 }
 
-// goodHubRefresh mirrors the hub-cached pull kernel: the dense hub
-// contribution buffer is hoisted once and refreshed in place each
-// iteration, so the hot loop never touches the allocator.
-func goodHubRefresh(st *stats, rounds, hubs int) {
-	contrib := make([]float64, hubs)
+// goodContribRefresh mirrors a per-iteration contribution buffer: it is
+// hoisted once and refreshed in place each iteration, so the hot loop
+// never touches the allocator.
+func goodContribRefresh(st *stats, rounds, n int) {
+	contrib := make([]float64, n)
 	for i := 0; i < rounds; i++ {
 		for h := range contrib {
 			contrib[h] = float64(h + i)
@@ -87,11 +87,11 @@ func goodHubRefresh(st *stats, rounds, hubs int) {
 	}
 }
 
-// badHubRefresh rebuilds the hub buffer per iteration — the mistake the
+// badContribRefresh rebuilds the buffer per iteration — the mistake the
 // hoisted refresh exists to avoid.
-func badHubRefresh(st *stats, rounds, hubs int) {
+func badContribRefresh(st *stats, rounds, n int) {
 	for i := 0; i < rounds; i++ {
-		contrib := make([]float64, hubs) // want `make allocates per iteration`
+		contrib := make([]float64, n) // want `make allocates per iteration`
 		for h := range contrib {
 			contrib[h] = float64(h + i)
 		}

@@ -4,9 +4,8 @@ import "sort"
 
 // DegreeSorted is a CSR relabeled so that vertex ids are assigned in
 // descending degree order: the heaviest row becomes vertex 0. High-degree
-// (hub) vertices end up contiguous at the front of every state array, which
-// is what lets a hub cache be a dense prefix instead of a scattered set —
-// the layout "A New Frontier for Pull-Based Graph Processing" relies on.
+// (hub) vertices end up contiguous at the front of every state array, so
+// the random reads a pull gather pays concentrate on a few hot cache lines.
 //
 // Perm maps new ids to old (Perm[new] = old) and Inv maps old to new
 // (Inv[old] = new); they are inverse bijections. Kernels run on G and the

@@ -355,6 +355,11 @@ func TestManagerRestartRecovery(t *testing.T) {
 			t.Fatalf("recovered job %s ended %s (%s), want done", id, final.State, final.Error)
 		}
 	}
+	// m1's parked run still writes its record into the store once it is
+	// released; wait for that write (it lands under the lock Get takes)
+	// so TempDir's cleanup does not race it.
+	release()
+	waitState(t, m1, running.ID, jobs.StateDone)
 }
 
 // TestManagerBatch: a batch shares one batch ID, lists together, and

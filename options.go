@@ -107,23 +107,12 @@ type Config struct {
 	// un-permuted at the boundary. False defers to the workload's
 	// AsDegreeSorted declaration.
 	DegreeSorted bool
-	// HubCache is the hub-cache size k for pull kernels: 0 defers to the
-	// workload's AsHubCached declaration, AutoHubCache (-1) picks the
-	// size from n, k > 0 is explicit. Other negatives are rejected at Run
-	// entry with ErrBadOption.
-	HubCache int
 	// OutOfCore requests the block-sequential out-of-core kernels: the run
 	// streams adjacency from the workload's memoized block file instead of
 	// in-memory arrays. False defers to the workload's AsOutOfCore
 	// declaration (a pure file handle is always out-of-core).
 	OutOfCore bool
 }
-
-// AutoHubCache is the HubCache/AsHubCached sentinel selecting the
-// automatic hub segment size: min(4096, max(1, n/64)) — large enough to
-// cover the heavy tail of a skewed degree distribution, small enough that
-// the per-iteration contribution cache stays resident.
-const AutoHubCache = -1
 
 // Option configures one Run call.
 type Option func(*Config)
@@ -200,28 +189,9 @@ func WithRanks(p int) Option { return func(c *Config) { c.Ranks = p } }
 // WithDegreeSorted runs the kernels over the workload's memoized
 // degree-sorted CSR permutation: vertex ids are renumbered by descending
 // degree, which concentrates the hot (high-degree) rows at the front of
-// every array and makes the WithHubCache hub segment contiguous. The
-// report is un-permuted at the boundary, so the payload is identical to a
-// plain-layout run.
+// every array. The report is un-permuted at the boundary, so the payload
+// is identical to a plain-layout run.
 func WithDegreeSorted() Option { return func(c *Config) { c.DegreeSorted = true } }
-
-// WithHubCache enables the hub-cached pull path: the pull view is split
-// into a dense segment of the k most-referenced (hub) vertices — whose
-// per-iteration state is kept in a compact contiguous cache — and a
-// residual segment, so the gather reads hub state cache-line friendly
-// instead of chasing the full adjacency, and traversal pulls early-out on
-// the hub segment once a parent is found. Wins on skewed (power-law)
-// degree distributions, where the top-k vertices cover most edges. k <= 0
-// selects the automatic size (AutoHubCache). Applies to pull-direction
-// runs of algorithms whose Caps declare HubCache; push runs ignore it.
-func WithHubCache(k int) Option {
-	return func(c *Config) {
-		if k <= 0 {
-			k = AutoHubCache
-		}
-		c.HubCache = k
-	}
-}
 
 // WithOutOfCore runs the block-sequential out-of-core kernels: the
 // pull-view adjacency streams from the workload's memoized block file
@@ -229,8 +199,8 @@ func WithHubCache(k int) Option {
 // order, so the O(m) edge data never needs to be resident — only the
 // O(n) vertex state does. Applies to algorithms whose Caps declare
 // OutOfCore (pr, bfs); runs are forced to the pull direction (an
-// explicit Push fails with ErrBadOption) and payloads are identical to
-// in-memory runs up to the usual floating-point reassociation.
+// explicit Push fails with ErrBadOption) and payloads match in-memory
+// pull runs (pr ranks bit for bit).
 func WithOutOfCore() Option { return func(c *Config) { c.OutOfCore = true } }
 
 // ---- helpers for algorithm adapters ----
@@ -315,9 +285,9 @@ func (c *Config) fingerprint() (fp string, ok bool) {
 	} else {
 		b.WriteByte('-')
 	}
-	fmt.Fprintf(&b, ";delta=%g;maxit=%d;parts=%d;pa=%t;ranks=%d;ds=%t;hub=%d;ooc=%t;srcs=",
+	fmt.Fprintf(&b, ";delta=%g;maxit=%d;parts=%d;pa=%t;ranks=%d;ds=%t;ooc=%t;srcs=",
 		c.Delta, c.MaxIters, c.Partitions, c.PartitionAware, c.Ranks,
-		c.DegreeSorted, c.HubCache, c.OutOfCore)
+		c.DegreeSorted, c.OutOfCore)
 	// nil and empty Sources are distinct configurations (bc: all
 	// vertices vs zero sources) and must not share a key.
 	if c.Sources == nil {
@@ -341,39 +311,6 @@ func (c *Config) degreeSorted(w *Workload) bool {
 // (which a pure file handle always carries).
 func (c *Config) outOfCore(w *Workload) bool {
 	return c.OutOfCore || w.IsOutOfCore()
-}
-
-// hubCacheK resolves the hub segment size of a run over n vertices:
-// an explicit WithHubCache wins, then the workload's AsHubCached
-// declaration; AutoHubCache maps to the automatic size, and the result is
-// clamped to n. 0 means the run is not hub-cached.
-func (c *Config) hubCacheK(w *Workload, n int) int {
-	k := c.HubCache
-	if k == 0 {
-		k = w.HubCacheK()
-	}
-	if k == 0 {
-		return 0
-	}
-	if k < 0 {
-		k = autoHubK(n)
-	}
-	if k > n {
-		k = n
-	}
-	return k
-}
-
-// autoHubK is the AutoHubCache size: min(4096, max(1, n/64)).
-func autoHubK(n int) int {
-	k := n / 64
-	if k < 1 {
-		k = 1
-	}
-	if k > 4096 {
-		k = 4096
-	}
-	return k
 }
 
 // paGraph returns the caller-supplied PA layout, or the workload's

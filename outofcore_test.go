@@ -91,7 +91,6 @@ func TestOutOfCoreCapsErrors(t *testing.T) {
 	for name, opts := range map[string][]pushpull.Option{
 		"push":        {pushpull.WithOutOfCore(), pushpull.WithDirection(pushpull.Push)},
 		"degree-sort": {pushpull.WithOutOfCore(), pushpull.WithDegreeSorted()},
-		"hub-cache":   {pushpull.WithOutOfCore(), pushpull.WithHubCache(64)},
 	} {
 		if _, err := pushpull.Run(ctx, g, "pr", opts...); !errors.Is(err, pushpull.ErrBadOption) {
 			t.Fatalf("pr out-of-core with %s: %v, want ErrBadOption", name, err)

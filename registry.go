@@ -81,12 +81,6 @@ func Algorithms() []string {
 	return algorithmNamesLocked()
 }
 
-// List is a thin alias of Algorithms, kept (like the Dist* wrappers) for
-// source compatibility with the PR 2 catalog name.
-//
-// Deprecated: use Algorithms.
-func List() []string { return Algorithms() }
-
 func algorithmNamesLocked() []string {
 	names := make([]string, 0, len(registry))
 	for n := range registry {

@@ -1,11 +1,10 @@
 package pushpull
 
-// Facade wiring of the kernel raw-speed layout options: the degree-sorted
-// CSR permutation (WithDegreeSorted / AsDegreeSorted) and the hub-cached
-// pull split (WithHubCache / AsHubCached). The algorithm adapters resolve
-// both into a layout, hand the permuted views to the kernels, and
-// un-permute the payload at the report boundary — so callers observe
-// identical results and only the run's memory behavior changes.
+// Facade wiring of the kernel raw-speed layout option: the degree-sorted
+// CSR permutation (WithDegreeSorted / AsDegreeSorted). The algorithm
+// adapters resolve it into a layout, hand the permuted views to the
+// kernels, and un-permute the payload at the report boundary — so callers
+// observe identical results and only the run's memory behavior changes.
 
 import (
 	"pushpull/internal/algo/bfs"
@@ -13,28 +12,13 @@ import (
 	"pushpull/internal/graph"
 )
 
-// layout is the resolved per-run view selection: which CSR the kernels
-// iterate and how large the hub segment is.
-type layout struct {
-	// ds is the degree-sorted view, nil for the identity layout.
-	ds *DegreeSortedView
-	// hubK is the resolved hub segment size; 0 disables the hub path.
-	hubK int
-}
-
-// resolveLayout combines the run options with the workload declarations.
-// hub gates the hub-cache resolution: adapters without a hub-cached
-// kernel (gc) pass false so an ambient AsHubCached declaration is ignored
-// rather than half-applied.
-func resolveLayout(w *Workload, cfg *Config, hub bool) layout {
-	l := layout{}
+// sortedView combines the run options with the workload declaration: the
+// degree-sorted view the kernels iterate, or nil for the identity layout.
+func sortedView(w *Workload, cfg *Config) *DegreeSortedView {
 	if cfg.degreeSorted(w) {
-		l.ds = w.DegreeSorted()
+		return w.DegreeSorted()
 	}
-	if hub {
-		l.hubK = cfg.hubCacheK(w, w.N())
-	}
-	return l
+	return nil
 }
 
 // unpermuteFloats lifts a permuted-layout vector back to original vertex

@@ -1,8 +1,7 @@
 package pushpull_test
 
-// Cross-validation of the kernel raw-speed layout options: degree-sorted
-// and hub-cached runs must produce payloads identical to the plain
-// kernels (pr ranks to 1e-9, bfs trees valid with equal levels, gc proper
+// Cross-validation of the kernel raw-speed layout option: degree-sorted
+// runs must produce payloads identical to the plain kernels (pr ranks to 1e-9, bfs trees valid with equal levels, gc proper
 // colorings), the options must participate in the Engine's cache key and
 // the workload content ID, and the derived views must be memoized.
 
@@ -14,7 +13,8 @@ import (
 	"pushpull"
 )
 
-// skewedGraph builds the high-skew RMAT workload hub caching targets.
+// skewedGraph builds a high-skew RMAT workload, where degree sorting
+// moves the most rows.
 func skewedGraph(t testing.TB) *pushpull.Graph {
 	t.Helper()
 	g, err := pushpull.RMAT(pushpull.DefaultRMAT(10, 8, 42))
@@ -64,33 +64,24 @@ func TestPRLayoutOptionsCrossValidate(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := ranksOf(t, base)
-	variants := map[string][]pushpull.Option{
-		"degree-sorted":     {pushpull.WithDegreeSorted()},
-		"hub-cached":        {pushpull.WithHubCache(64)},
-		"hub-cached-auto":   {pushpull.WithHubCache(0)},
-		"sorted+hub-cached": {pushpull.WithDegreeSorted(), pushpull.WithHubCache(64)},
+	rep, err := pushpull.Run(context.Background(), pushpull.NewWorkload(g), "pr",
+		pushpull.WithDegreeSorted(), pushpull.WithDirection(pushpull.Pull), pushpull.WithThreads(4))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for name, opts := range variants {
-		w := pushpull.NewWorkload(g)
-		rep, err := pushpull.Run(context.Background(), w, "pr",
-			append(opts, pushpull.WithDirection(pushpull.Pull), pushpull.WithThreads(4))...)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if d := pushpull.MaxDiff(want, ranksOf(t, rep)); d > 1e-9 {
-			t.Fatalf("%s: ranks diverge from plain pull by %g", name, d)
-		}
+	if d := pushpull.MaxDiff(want, ranksOf(t, rep)); d > 1e-9 {
+		t.Fatalf("degree-sorted: ranks diverge from plain pull by %g", d)
 	}
 	// Workload-level declarations behave identically to per-run options.
-	w := pushpull.NewWorkload(g, pushpull.AsDegreeSorted(), pushpull.AsHubCached(0))
-	rep, err := pushpull.Run(context.Background(), w, "pr", pushpull.WithDirection(pushpull.Pull))
+	w := pushpull.NewWorkload(g, pushpull.AsDegreeSorted())
+	rep, err = pushpull.Run(context.Background(), w, "pr", pushpull.WithDirection(pushpull.Pull))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d := pushpull.MaxDiff(want, ranksOf(t, rep)); d > 1e-9 {
 		t.Fatalf("declared workload: ranks diverge by %g", d)
 	}
-	// Push runs ignore the hub cache but honor the degree sort.
+	// Push runs honor the degree sort too.
 	rep, err = pushpull.Run(context.Background(), w, "pr", pushpull.WithDirection(pushpull.Push))
 	if err != nil {
 		t.Fatal(err)
@@ -108,19 +99,13 @@ func TestPRDirectedLayoutOptionsCrossValidate(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := ranksOf(t, base)
-	for name, opts := range map[string][]pushpull.Option{
-		"degree-sorted":     {pushpull.WithDegreeSorted()},
-		"hub-cached":        {pushpull.WithHubCache(32)},
-		"sorted+hub-cached": {pushpull.WithDegreeSorted(), pushpull.WithHubCache(32)},
-	} {
-		rep, err := pushpull.Run(context.Background(), pushpull.Directed(g), "pr",
-			append(opts, pushpull.WithDirection(pushpull.Pull), pushpull.WithThreads(3))...)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if d := pushpull.MaxDiff(want, ranksOf(t, rep)); d > 1e-9 {
-			t.Fatalf("%s: directed ranks diverge by %g", name, d)
-		}
+	rep, err := pushpull.Run(context.Background(), pushpull.Directed(g), "pr",
+		pushpull.WithDegreeSorted(), pushpull.WithDirection(pushpull.Pull), pushpull.WithThreads(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := pushpull.MaxDiff(want, ranksOf(t, rep)); d > 1e-9 {
+		t.Fatalf("degree-sorted: directed ranks diverge by %g", d)
 	}
 }
 
@@ -154,40 +139,30 @@ func TestBFSLayoutOptionsCrossValidate(t *testing.T) {
 	}
 	want := base.Result.(*pushpull.BFSTree).Level
 	for _, dir := range []pushpull.Direction{pushpull.Auto, pushpull.Push, pushpull.Pull} {
-		for name, opts := range map[string][]pushpull.Option{
-			"degree-sorted":     {pushpull.WithDegreeSorted()},
-			"hub-cached":        {pushpull.WithHubCache(128)},
-			"sorted+hub-cached": {pushpull.WithDegreeSorted(), pushpull.WithHubCache(128)},
-		} {
-			rep, err := pushpull.Run(context.Background(), pushpull.NewWorkload(g), "bfs",
-				append(opts, pushpull.WithSource(0), pushpull.WithDirection(dir), pushpull.WithThreads(4))...)
-			if err != nil {
-				t.Fatalf("%s %v: %v", name, dir, err)
-			}
-			checkBFSTree(t, g, 0, rep.Result.(*pushpull.BFSTree), want)
+		rep, err := pushpull.Run(context.Background(), pushpull.NewWorkload(g), "bfs",
+			pushpull.WithDegreeSorted(), pushpull.WithSource(0), pushpull.WithDirection(dir), pushpull.WithThreads(4))
+		if err != nil {
+			t.Fatalf("degree-sorted %v: %v", dir, err)
 		}
+		checkBFSTree(t, g, 0, rep.Result.(*pushpull.BFSTree), want)
 	}
 }
 
 func TestGCLayoutOptionsProperColoring(t *testing.T) {
 	g := skewedGraph(t)
-	// Explicit degree sort, workloads declaring both layout options, and
-	// the hub-cached pull paths (Boman conflict scan and FE discovery).
+	// Explicit and declared degree sort, on the Boman push and pull paths
+	// and on Frontier-Exploit with a Generic-Switch flip into pull.
 	runs := []struct {
 		name string
 		on   pushpull.Runnable
 		opts []pushpull.Option
 	}{
 		{"explicit-ds", pushpull.NewWorkload(g), []pushpull.Option{pushpull.WithDegreeSorted()}},
-		{"declared", pushpull.NewWorkload(g, pushpull.AsDegreeSorted(), pushpull.AsHubCached(64)), nil},
+		{"declared", pushpull.NewWorkload(g, pushpull.AsDegreeSorted()), nil},
 		{"declared-pull", pushpull.NewWorkload(g, pushpull.AsDegreeSorted()),
 			[]pushpull.Option{pushpull.WithDirection(pushpull.Pull)}},
-		{"hub-pull", pushpull.NewWorkload(g),
-			[]pushpull.Option{pushpull.WithHubCache(128), pushpull.WithDirection(pushpull.Pull)}},
-		{"sorted+hub-pull", pushpull.NewWorkload(g),
-			[]pushpull.Option{pushpull.WithDegreeSorted(), pushpull.WithHubCache(128), pushpull.WithDirection(pushpull.Pull)}},
-		{"hub-fe", pushpull.NewWorkload(g),
-			[]pushpull.Option{pushpull.WithHubCache(128), pushpull.WithSwitchPolicy(&pushpull.GenericSwitch{Threshold: 1})}},
+		{"sorted-fe", pushpull.NewWorkload(g),
+			[]pushpull.Option{pushpull.WithDegreeSorted(), pushpull.WithSwitchPolicy(&pushpull.GenericSwitch{Threshold: 1})}},
 	}
 	for _, r := range runs {
 		rep, err := pushpull.Run(context.Background(), r.on, "gc", r.opts...)
@@ -208,22 +183,18 @@ func TestLayoutOptionCapsErrors(t *testing.T) {
 		pushpull.WithDegreeSorted()); !errors.Is(err, pushpull.ErrDegreeSortUnsupported) {
 		t.Fatalf("sssp WithDegreeSorted: %v, want ErrDegreeSortUnsupported", err)
 	}
-	if _, err := pushpull.Run(context.Background(), pushpull.Weighted(wg), "mst",
-		pushpull.WithHubCache(8)); !errors.Is(err, pushpull.ErrHubCacheUnsupported) {
-		t.Fatalf("mst WithHubCache: %v, want ErrHubCacheUnsupported", err)
-	}
 	if _, err := pushpull.Run(context.Background(), g, "pr",
 		pushpull.WithDegreeSorted(), pushpull.WithPartitionAwareness()); !errors.Is(err, pushpull.ErrBadOption) {
 		t.Fatalf("pr degree-sort + PA: %v, want ErrBadOption", err)
 	}
-	// gc-cr supports neither layout option (gc and gc-fe now take both).
+	// gc-cr does not take the degree sort (gc and gc-fe do).
 	if _, err := pushpull.Run(context.Background(), g, "gc-cr",
-		pushpull.WithHubCache(8)); !errors.Is(err, pushpull.ErrHubCacheUnsupported) {
-		t.Fatalf("gc-cr WithHubCache: %v, want ErrHubCacheUnsupported", err)
+		pushpull.WithDegreeSorted()); !errors.Is(err, pushpull.ErrDegreeSortUnsupported) {
+		t.Fatalf("gc-cr WithDegreeSorted: %v, want ErrDegreeSortUnsupported", err)
 	}
 	// A workload-level declaration is ambient: algorithms without support
 	// ignore it instead of failing.
-	w := pushpull.NewWorkload(wg, pushpull.AsWeighted(), pushpull.AsDegreeSorted(), pushpull.AsHubCached(8))
+	w := pushpull.NewWorkload(wg, pushpull.AsWeighted(), pushpull.AsDegreeSorted())
 	if _, err := pushpull.Run(context.Background(), w, "mst"); err != nil {
 		t.Fatalf("mst on declared workload: %v", err)
 	}
@@ -231,7 +202,7 @@ func TestLayoutOptionCapsErrors(t *testing.T) {
 
 func TestLayoutViewsMemoized(t *testing.T) {
 	g := skewedGraph(t)
-	w := pushpull.NewWorkload(g, pushpull.AsDegreeSorted(), pushpull.AsHubCached(64))
+	w := pushpull.NewWorkload(g, pushpull.AsDegreeSorted())
 	for i := 0; i < 3; i++ {
 		if _, err := pushpull.Run(context.Background(), w, "pr", pushpull.WithDirection(pushpull.Pull)); err != nil {
 			t.Fatal(err)
@@ -244,9 +215,8 @@ func TestLayoutViewsMemoized(t *testing.T) {
 	if b.DegreeSorts != 1 {
 		t.Fatalf("DegreeSorts = %d, want 1", b.DegreeSorts)
 	}
-	// pr pull and bfs share the same (k, sorted, in=false) split.
-	if b.HubSplits != 1 {
-		t.Fatalf("HubSplits = %d, want 1", b.HubSplits)
+	if b.HubSplits != 0 {
+		t.Fatalf("HubSplits = %d, want the documented 0", b.HubSplits)
 	}
 }
 
@@ -258,12 +228,21 @@ func TestLayoutOptionsInCacheKeyAndID(t *testing.T) {
 	if plain.ID() != plain2.ID() {
 		t.Fatal("identical plain workloads disagree on ID")
 	}
-	ds := pushpull.NewWorkload(g, pushpull.AsDegreeSorted())
-	hub8 := pushpull.NewWorkload(g, pushpull.AsHubCached(8))
-	hub16 := pushpull.NewWorkload(g, pushpull.AsHubCached(16))
-	ids := map[string]string{plain.ID(): "plain", ds.ID(): "ds", hub8.ID(): "hub8", hub16.ID(): "hub16"}
-	if len(ids) != 4 {
-		t.Fatalf("layout declarations collide in content IDs: %v", ids)
+	// The IDs are pinned: they key DiskStore files and shard placement,
+	// so removing a layout option must not move the ones that remain.
+	for name, c := range map[string]struct {
+		w    *pushpull.Workload
+		want string
+	}{
+		"plain":       {plain, "w2c3036ed0d2aa2de-n400"},
+		"ds":          {pushpull.NewWorkload(g, pushpull.AsDegreeSorted()), "wb8d6144cb3e5e07d-n400"},
+		"ooc":         {pushpull.NewWorkload(g, pushpull.AsOutOfCore()), "w76e0f23d70ed827b-n400"},
+		"ds+ooc":      {pushpull.NewWorkload(g, pushpull.AsDegreeSorted(), pushpull.AsOutOfCore()), "w38eb642b5b0eee39-n400"},
+		"directed+ds": {pushpull.NewWorkload(g, pushpull.AsDirected(), pushpull.AsDegreeSorted()), "wc9de9c02b11c647c-n400"},
+	} {
+		if got := c.w.ID(); got != c.want {
+			t.Errorf("%s: ID = %s, want %s", name, got, c.want)
+		}
 	}
 
 	// Run options are part of the Engine cache key: a different option is
@@ -277,15 +256,6 @@ func TestLayoutOptionsInCacheKeyAndID(t *testing.T) {
 			t.Fatal(err)
 		}
 		return rep
-	}
-	if rep := run(pushpull.WithHubCache(8)); rep.Stats.CacheHit {
-		t.Fatal("first hub-cached run cannot be a cache hit")
-	}
-	if rep := run(pushpull.WithHubCache(8)); !rep.Stats.CacheHit {
-		t.Fatal("identical hub-cached run must hit the cache")
-	}
-	if rep := run(pushpull.WithHubCache(16)); rep.Stats.CacheHit {
-		t.Fatal("different hub size must be a different cache key")
 	}
 	if rep := run(pushpull.WithDegreeSorted()); rep.Stats.CacheHit {
 		t.Fatal("degree-sorted run must not share the plain key")

@@ -55,9 +55,6 @@ type Workload struct {
 	// memoized degree-sorted CSR permutation (reports are un-permuted at
 	// the boundary, so payloads match the plain layout).
 	degreeSorted bool
-	// hubK is the AsHubCached declaration: the hub-cache size k pull runs
-	// default to (0 = none, AutoHubCache = size picked from n).
-	hubK int
 	// outOfCore is the AsOutOfCore declaration: capable runs default to the
 	// block-sequential out-of-core kernels over the memoized block view.
 	outOfCore bool
@@ -70,21 +67,11 @@ type Workload struct {
 	transpose   *Graph
 	ds          *DegreeSortedView
 	dsTranspose *Graph
-	hubs        map[hubKey]*HubSplit
 	stats       *GraphStats
 	pa          map[int]*PAGraph
 	blk         *graph.BlockCSR
 	builds      WorkloadBuilds
 	id          string
-}
-
-// hubKey identifies one memoized hub split: the segment size plus which
-// adjacency view it was built over (degree-sorted or plain, in-edges or
-// the graph itself).
-type hubKey struct {
-	k      int
-	sorted bool
-	in     bool
 }
 
 // WorkloadBuilds counts the derived-view constructions a Workload has
@@ -100,8 +87,8 @@ type WorkloadBuilds struct {
 	Stats int
 	// DegreeSorts counts degree-sorted CSR permutation builds.
 	DegreeSorts int
-	// HubSplits counts hub-split layout builds (one per distinct
-	// size/view combination).
+	// HubSplits is always 0: the hub-cached layout it counted was
+	// removed. The field remains for callers that still sum it.
 	HubSplits int
 	// BlockBuilds counts out-of-core block-view constructions (write the
 	// block file, reopen it mmap/buffered).
@@ -135,25 +122,10 @@ func AsPartitioned(parts int) WorkloadOption {
 // AsDegreeSorted declares that runs should use the degree-sorted CSR
 // permutation (vertices renumbered by descending degree): kernels compute
 // over the memoized permuted graph — which packs the high-degree vertices
-// into a contiguous id prefix, making the hub segment of AsHubCached
-// cache-line friendly — and every report is un-permuted at the boundary,
+// into a contiguous id prefix — and every report is un-permuted at the boundary,
 // so payloads are identical to plain-layout runs. Algorithms without
 // degree-sort support ignore the declaration.
 func AsDegreeSorted() WorkloadOption { return func(w *Workload) { w.degreeSorted = true } }
-
-// AsHubCached declares a hub-cache size k for pull runs: the pull view is
-// split into a dense top-k hub segment read through a compact contiguous
-// cache and a residual segment (see WithHubCache). k <= 0 selects the
-// automatic size. Algorithms without hub-cache support ignore the
-// declaration; an explicit WithHubCache on a run overrides it.
-func AsHubCached(k int) WorkloadOption {
-	return func(w *Workload) {
-		if k <= 0 {
-			k = AutoHubCache
-		}
-		w.hubK = k
-	}
-}
 
 // AsOutOfCore declares that runs should use the out-of-core block layout:
 // capable algorithms (pr, bfs) run their block-sequential pull kernels
@@ -267,10 +239,6 @@ func (w *Workload) DefaultPartitions() int { return w.defaultParts }
 // IsDegreeSorted reports whether the workload was declared AsDegreeSorted.
 func (w *Workload) IsDegreeSorted() bool { return w.degreeSorted }
 
-// HubCacheK returns the AsHubCached declaration: 0 when none was made,
-// AutoHubCache for the automatic size, otherwise the explicit k.
-func (w *Workload) HubCacheK() int { return w.hubK }
-
 // IsOutOfCore reports whether runs default to the out-of-core block
 // kernels: either the handle was declared AsOutOfCore, or it is a pure
 // file handle with no in-memory graph at all.
@@ -352,37 +320,6 @@ func (w *Workload) sortedTransposeLocked() *Graph {
 		w.builds.Transposes++
 	}
 	return w.dsTranspose
-}
-
-// HubSplit returns the memoized hub split of size k over the requested
-// pull view: the degree-sorted graph when sorted, the in-edge view when
-// in (directed pull), the graph itself otherwise. One split is built per
-// distinct (k, view) combination and shared by every later run.
-func (w *Workload) HubSplit(k int, sorted, in bool) *HubSplit {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.hubs == nil {
-		w.hubs = map[hubKey]*HubSplit{}
-	}
-	key := hubKey{k: k, sorted: sorted, in: in}
-	hs, ok := w.hubs[key]
-	if !ok {
-		var view *Graph
-		switch {
-		case sorted && in:
-			view = w.sortedTransposeLocked()
-		case sorted:
-			view = w.degreeSortedLocked().G
-		case in:
-			view = w.transposeLocked()
-		default:
-			view = w.g
-		}
-		hs = graph.BuildHubSplit(view, k)
-		w.hubs[key] = hs
-		w.builds.HubSplits++
-	}
-	return hs
 }
 
 // PA returns the Partition-Awareness split (§5, Algorithm 8) of the graph
@@ -608,17 +545,17 @@ func (w *Workload) contentID() string {
 	kind |= uint64(w.defaultParts) << 3
 	put(kind)
 	// The layout declarations change what a run computes over (the
-	// degree-sorted permutation, the hub split, the out-of-core block
-	// layout), so they are part of the identity too — but the word is
-	// folded only when one is set, keeping plain handles' IDs (and their
-	// DiskStore/shard placements) identical to releases that predate the
-	// options.
-	if w.degreeSorted || w.hubK != 0 || ooc {
+	// degree-sorted permutation, the out-of-core block layout), so they are
+	// part of the identity too — but the word is folded only when one is
+	// set, keeping plain handles' IDs (and their DiskStore/shard
+	// placements) identical to releases that predate the options. Bits
+	// 2–33 are left clear: they held a layout option that no longer
+	// exists, and reusing them would change existing IDs.
+	if w.degreeSorted || ooc {
 		var opt uint64 = 1
 		if w.degreeSorted {
 			opt |= 2
 		}
-		opt |= uint64(uint32(int32(w.hubK))) << 2
 		if ooc {
 			opt |= 1 << 34
 		}
@@ -651,13 +588,6 @@ func (w *Workload) Kind() string {
 	}
 	if w.degreeSorted {
 		k += " degree-sorted"
-	}
-	if w.hubK != 0 {
-		if w.hubK == AutoHubCache {
-			k += " hub-cached(auto)"
-		} else {
-			k += fmt.Sprintf(" hub-cached(%d)", w.hubK)
-		}
 	}
 	if w.IsOutOfCore() {
 		k += " out-of-core"
